@@ -252,3 +252,41 @@ func TestBackendProfileCountsEqual(t *testing.T) {
 		t.Fatalf("profile counts diverge across backends:\ntree: %s\nvm:   %s", tree, vm)
 	}
 }
+
+// TestBackendSiteClustersLowered: on every benchmark × ISA × category
+// cell, the VM lowers every fault site's instrumentation cluster to one
+// vSite — one per vector site, whose Vl lane chains form one cluster,
+// and one per scalar site. A cluster the matcher misses would still run
+// correctly, lane by lane, so only this count shows it.
+func TestBackendSiteClustersLowered(t *testing.T) {
+	var vector, scalar int
+	for _, b := range benchmarks.All() {
+		for _, target := range isa.All {
+			for _, cat := range passes.AllCategories {
+				cfg := smallCfg(b, cat)
+				cfg.ISA = target
+				cfg.Backend = "vm"
+				p, err := Prepare(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var v int
+				for _, s := range p.Sites {
+					if s.Value().Type().IsVector() {
+						v++
+					}
+				}
+				vector += v
+				scalar += len(p.Sites) - v
+				if got := p.vmProg.Fused("site"); got != len(p.Sites) {
+					t.Errorf("%s/%s/%s: %d site clusters lowered, want %d (%d vector)",
+						b.Name, target.Name, cat, got, len(p.Sites), v)
+				}
+			}
+		}
+	}
+	if vector == 0 || scalar == 0 {
+		t.Fatalf("matrix has %d vector and %d scalar sites; want both kinds", vector, scalar)
+	}
+	t.Logf("%d vector and %d scalar site clusters lowered", vector, scalar)
+}

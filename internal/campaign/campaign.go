@@ -369,14 +369,16 @@ func mustProgram(b *benchmarks.Benchmark) *langProgram {
 // newInstance builds (or reuses) an interpreter instance with the ISA
 // intrinsics, the detector runtime and an injection plan attached.
 // Instances come from a per-cell pool: experiments return them with
-// release once every observable product has been copied out. The reset
-// path re-binds only the plan-dependent injection runtime; the
-// plan-independent ISA and detector externs survive the reset.
+// release once every observable product has been copied out. Every
+// extern survives the reset, the injection runtime's included, so the
+// reset path only binds the new plan: the externs registered once per
+// instance read it through the site-plan hook, and the VM's
+// resolved-extern cache stays valid across experiments.
 func (p *Prepared) newInstance(plan *core.Plan, budget uint64) (*exec.Instance, error) {
 	if v := p.pool.Get(); v != nil {
 		x := v.(*exec.Instance)
 		if err := x.Reset(interp.Options{Budget: budget}); err == nil {
-			core.AttachRuntime(x.It, plan)
+			x.It.SetSitePlan(plan)
 			return x, nil
 		}
 	}

@@ -89,20 +89,43 @@ func (p *Plan) handle(val interp.Value, active, siteID int64) interp.Value {
 	return val
 }
 
-// AttachRuntime registers the injectFault* runtime API on an interpreter,
-// bound to the given plan. Call once per execution with a fresh plan.
-func AttachRuntime(it *interp.Interp, plan *Plan) {
-	impl := func(it *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
-		active := args[1].Int()
-		if active == 0 {
-			return args[0], nil // masked-off lane: not a dynamic fault site
-		}
-		it.CountSiteVisit() // live (unmasked) dynamic fault-site visit
-		return plan.handle(args[0], active, args[2].Int()), nil
+// SkipSites implements interp.SitePlan: it counts n live dynamic sites
+// in bulk unless one of them is the injection target or Visits keeps
+// per-site counts.
+func (p *Plan) SkipSites(n uint64) bool {
+	if p.Visits != nil {
+		return false
 	}
+	if p.Mode == InjectOnce && !p.Injected &&
+		p.TargetDyn > p.DynSites && p.TargetDyn-p.DynSites <= n {
+		return false
+	}
+	p.DynSites += n
+	return true
+}
+
+// AttachRuntime registers the injectFault* runtime API on an interpreter
+// and binds it to plan. The externs read the plan through the
+// interpreter's site-plan hook, which survives Reset, so a reused
+// instance moves to a fresh plan with it.SetSitePlan alone.
+// Re-registering would bump the extern epoch and drop an engine's
+// resolved-extern cache on every execution.
+func AttachRuntime(it *interp.Interp, plan *Plan) {
 	for _, f := range it.Mod.Funcs {
 		if f.IsDecl && strings.HasPrefix(f.Nam, "injectFault") {
-			it.RegisterExtern(f.Nam, impl)
+			it.RegisterExtern(f.Nam, injectFault)
 		}
 	}
+	it.SetSitePlan(plan)
+}
+
+// injectFault is the injectFault* runtime API: T injectFault<Ty>(T
+// value, i32 active, i32 siteID), handled by the bound plan.
+func injectFault(it *interp.Interp, args []interp.Value) (interp.Value, *interp.Trap) {
+	active := args[1].Int()
+	if active == 0 {
+		return args[0], nil // masked-off lane: not a dynamic fault site
+	}
+	it.CountSiteVisits(1) // live (unmasked) dynamic fault-site visit
+	return it.SitePlan().(*Plan).handle(args[0], active, args[2].Int()), nil
 }

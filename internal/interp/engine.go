@@ -7,8 +7,8 @@ import "vulfi/internal/ir"
 // function after the interpreter has performed the shared call protocol
 // — extern dispatch, depth accounting, argument-count checking — and
 // may execute the body against the interpreter's own observable state
-// (DynInstrs/DynVector, memory, output, detections, tracer, recorder,
-// profiler, metrics). Returning ok == false declines the function and
+// (DynInstrs/DynVector, memory, output, detections, recorder, profiler,
+// metrics, site plan). Returning ok == false declines the function and
 // the interpreter tree-walks it instead, so an engine may compile only
 // the subset of functions it supports.
 //
@@ -16,7 +16,7 @@ import "vulfi/internal/ir"
 // tree-walker's observable behavior exactly — identical DynInstrs
 // accounting (including phis and terminators), identical budget-check
 // schedule, identical trap kinds/messages/provenance, and identical
-// Recorder/Profiler/Tracer event streams. The differential tests in
+// Recorder/Profiler event streams. The differential tests in
 // internal/vm and internal/campaign pin this contract.
 //
 // Like registered externs and attached metrics, the engine survives
@@ -44,6 +44,31 @@ type FusedProfiler interface {
 	AccountFused(ins []*ir.Instr)
 }
 
+// SitePlan is the fault-injection plan behind the injectFault* runtime
+// API, as engines see it. The core package's Plan implements it; interp
+// cannot import core, so the runtime binds the plan through this hook.
+//
+// SkipSites lets an engine retire n live lane visits of one site
+// cluster in bulk, without calling the runtime. It advances the
+// dynamic-site count and reports true only when the n visits need
+// nothing else: none is the injection target and no per-site
+// statistics are kept. On false it changes nothing, and the engine must
+// make the n visits through the runtime one call at a time.
+type SitePlan interface {
+	SkipSites(n uint64) bool
+}
+
+// SetSitePlan binds (or, with nil, unbinds) the fault-injection plan.
+// Binding a plan asserts that the module's injectFault* externs are its
+// runtime, so an engine may retire whole site clusters through
+// SkipSites without calling them. The binding survives Reset, like the
+// externs that read it: a pooled instance is rebound per execution
+// without re-registering its externs.
+func (it *Interp) SetSitePlan(p SitePlan) { it.sites = p }
+
+// SitePlan returns the bound fault-injection plan, or nil.
+func (it *Interp) SitePlan() SitePlan { return it.sites }
+
 // The methods below export exactly the hooks an Engine needs to
 // replicate the tree-walker's observable contract without duplicating
 // its semantics: budget checks, trap provenance, the hook sinks and the
@@ -66,14 +91,6 @@ func (it *Interp) Recorder() Recorder { return it.rec }
 
 // Profiler returns the attached execution profiler, or nil.
 func (it *Interp) Profiler() Profiler { return it.prof }
-
-// HasTracer reports whether a debug tracer is attached.
-func (it *Interp) HasTracer() bool { return it.tracer != nil }
-
-// TraceInstr emits one tracer event for a retired non-terminator
-// instruction, in the tree-walker's exact format. No-op without a
-// tracer.
-func (it *Interp) TraceInstr(in *ir.Instr, result Value) { it.trace(in, result) }
 
 // ResolveExtern resolves a declaration to the implementation Call would
 // dispatch to (registered extern, then generic intrinsic). Engines that

@@ -59,7 +59,6 @@ type Interp struct {
 	maxDepth    int
 	depth       int
 	globals     map[*ir.Global]uint64
-	tracer      *Tracer
 	rec         Recorder
 	prof        Profiler
 	// hb, when attached, receives the current DynInstrs on every budget
@@ -72,6 +71,10 @@ type Interp struct {
 	// this interpreter's state; nil tree-walks everything. Like externs
 	// and metrics it survives Reset (see SetEngine).
 	engine Engine
+	// sites is the fault-injection plan the injection runtime's externs
+	// and the engine's site fast path read; it survives Reset with the
+	// externs that depend on it (see SetSitePlan).
+	sites SitePlan
 
 	// frames and ops recycle call frames and operand buffers across
 	// calls (and across Reset), so the steady state of a long campaign
@@ -104,12 +107,13 @@ func New(mod *ir.Module, opts Options) (*Interp, error) {
 }
 
 // Reset returns the interpreter to its post-New state under new options,
-// keeping registered externs, attached metrics and the recycling pools
-// but dropping all execution state: output, counters, detections,
-// recorder/tracer, call depth and the entire memory image. Globals are
-// reallocated in module order on the recycled memory, so they land at
-// exactly the addresses a fresh interpreter would use — a deterministic
-// program behaves identically on a reset and on a fresh instance.
+// keeping registered externs, the bound site plan, attached metrics and
+// the recycling pools but dropping all execution state: output,
+// counters, detections, recorder, profiler, heartbeat, call depth and
+// the entire memory image. Globals are reallocated in module order on
+// the recycled memory, so they land at exactly the addresses a fresh
+// interpreter would use — a deterministic program behaves identically
+// on a reset and on a fresh instance.
 // Campaign hot paths reset-and-reuse instances instead of rebuilding
 // every frame, buffer and segment per experiment.
 func (it *Interp) Reset(opts Options) *Trap {
@@ -127,7 +131,6 @@ func (it *Interp) Reset(opts Options) *Trap {
 	it.budget = opts.Budget
 	it.maxDepth = opts.MaxDepth
 	it.depth = 0
-	it.tracer = nil
 	it.rec = nil
 	it.prof = nil
 	it.hb = nil
@@ -306,9 +309,6 @@ func (it *Interp) Call(f *ir.Func, args []Value) (ret Value, tr *Trap) {
 				}
 				if !in.Ty.IsVoid() {
 					fr.vals[in] = v
-				}
-				if it.tracer != nil {
-					it.trace(in, v)
 				}
 				if it.rec != nil {
 					it.rec.Retire(in, it.DynInstrs, v)

@@ -222,25 +222,3 @@ func TestAccounting(t *testing.T) {
 		t.Fatalf("DynVector = %d, want 3", it.DynVector)
 	}
 }
-
-func TestTracer(t *testing.T) {
-	m := ir.NewModule("t")
-	f := ir.NewFunc("f", ir.I32, []*ir.Type{ir.I32}, []string{"x"})
-	m.AddFunc(f)
-	bu := ir.NewBuilder(f.NewBlock("entry"))
-	a := bu.Add(f.Params[0], ir.ConstInt(ir.I32, 1), "a")
-	b := bu.Mul(a, a, "b")
-	bu.Ret(b)
-	it, _ := New(m, Options{})
-	var buf strings.Builder
-	it.SetTracer(&Tracer{W: &buf, Limit: 10})
-	if _, tr := it.Run("f", IntValue(ir.I32, 4)); tr != nil {
-		t.Fatal(tr)
-	}
-	out := buf.String()
-	for _, frag := range []string{"f/entry", "%a = 5", "%b = 25"} {
-		if !strings.Contains(out, frag) {
-			t.Fatalf("trace missing %q:\n%s", frag, out)
-		}
-	}
-}

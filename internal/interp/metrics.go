@@ -18,8 +18,8 @@ type Metrics struct {
 	Instrs       *telemetry.Counter
 	VectorInstrs *telemetry.Counter
 	// SiteVisits counts live dynamic fault-site visits (the injection
-	// runtime calls CountSiteVisit once per unmasked lane visit). Like
-	// the dynamic counts it is batched: published on flush, not per
+	// runtime reports every unmasked lane visit to CountSiteVisits).
+	// Like the dynamic counts it is batched: published on flush, not per
 	// visit.
 	SiteVisits *telemetry.Counter
 	// Traps counts top-level executions that ended in a trap.
@@ -40,11 +40,12 @@ func NewMetrics(r *telemetry.Registry) *Metrics {
 // SetMetrics attaches (or, with nil, detaches) telemetry counters.
 func (it *Interp) SetMetrics(m *Metrics) { it.metrics = m }
 
-// CountSiteVisit records one live dynamic fault-site visit. The
-// injection runtime calls it once per unmasked lane visit; the count is
-// batched locally and published to the attached counter on flush, so
-// the per-site cost is one non-atomic increment.
-func (it *Interp) CountSiteVisit() { it.siteVisits++ }
+// CountSiteVisits records n live dynamic fault-site visits: one per
+// unmasked lane call of the injection runtime, or a whole cluster's
+// live lanes when an engine retires it in bulk. The count is batched
+// locally and published to the attached counter on flush, so the
+// per-site cost is one non-atomic add.
+func (it *Interp) CountSiteVisits(n uint64) { it.siteVisits += n }
 
 // FlushMetrics publishes the not-yet-reported portion of the dynamic
 // instruction counters. Called automatically when a top-level Call

@@ -49,7 +49,7 @@ func TestProfilerSeesEveryAccountedInstr(t *testing.T) {
 			cp.vector, it.DynVector)
 	}
 
-	// Reset detaches the profiler like it detaches tracer and recorder.
+	// Reset detaches the profiler like it detaches the recorder.
 	if tr := it.Reset(Options{}); tr != nil {
 		t.Fatal(tr)
 	}

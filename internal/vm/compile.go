@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"strings"
+
 	"vulfi/internal/interp"
 	"vulfi/internal/ir"
 )
@@ -42,6 +44,17 @@ const (
 	vGEPLoad  // gep + load  : dst = mem[base + idx*elem]
 	vGEPStore // gep + store : mem[base + idx*elem] = value
 	vCmpBr    // scalar cmp + condbr : branch on compare without a visit
+	// vSite heads one fault site's instrumentation cluster (see
+	// matchSite). Its fast path retires the whole cluster in one
+	// dispatch and jumps to t0; otherwise execution falls through into
+	// the cluster's own per-instruction bytecode, which follows it.
+	vSite
+	// vSiteEnd closes a vector cluster's per-instruction path. It
+	// accounts nothing; it clears the registers of the cluster's
+	// intermediate values [a, b). The fast path never writes them, so
+	// left alone they would keep whichever arena chunk the last
+	// lane-by-lane pass allocated in reachable for the rest of the frame.
+	vSiteEnd
 )
 
 // A move copies one value into a register: the phi-elimination parallel
@@ -101,6 +114,20 @@ type vinstr struct {
 	args   []int32
 
 	mask []int
+
+	site *siteShape // vSite: the cluster's static shape
+}
+
+// siteShape is what a vSite needs to retire its cluster in bulk. The
+// cluster's instructions are the vSite's group; its input value (a)
+// becomes the result of the cluster's last instruction (dst), and the
+// mask operand (b) decides which lanes are live.
+type siteShape struct {
+	lanes  int    // lane visits: the vector length, 1 for a scalar site
+	masked bool   // live lanes come from the mask operand's sign bits
+	maskSh uint8  // 64 - mask element width: lane live iff int64(w<<maskSh) < 0
+	live   uint64 // live lanes of an unmasked cluster (nonzero active constants)
+	vec    uint64 // vector instructions in the cluster (its DynVector share)
 }
 
 // fnCode is one compiled function body.
@@ -267,6 +294,13 @@ func (c *compiler) lowerBlock(b *ir.Block) bool {
 		if in.Op.IsTerminator() {
 			return c.lowerTerminator(b, in)
 		}
+		if n := matchSite(body[i:]); n > 0 {
+			if !c.lowerSite(body[i : i+n : i+n]) {
+				return false
+			}
+			i += n - 1
+			continue
+		}
 		var next *ir.Instr
 		if i+1 < len(body) {
 			next = body[i+1]
@@ -424,6 +458,174 @@ func (c *compiler) lowerPlain(v *vinstr, in *ir.Instr) bool {
 	}
 }
 
+// lowerSite emits a vSite in front of the cluster's per-instruction
+// bytecode, which stays in place as the fallback path. Each cluster
+// instruction lowers unfused to exactly one vinstr.
+func (c *compiler) lowerSite(cluster []*ir.Instr) bool {
+	head, last := cluster[0], cluster[len(cluster)-1]
+	in, ok1 := c.ref(head.Operand(0))
+	dst, ok2 := c.regOf[last]
+	if !ok1 || !ok2 {
+		return false
+	}
+	s := &siteShape{lanes: 1}
+	v := vinstr{op: vSite, a: in, dst: dst, group: cluster, site: s}
+	if head.Op == ir.OpExtractElement {
+		s.lanes = head.Operand(0).Type().Len
+		if ext := cluster[1]; ext.Op == ir.OpExtractElement {
+			mask, ok := c.ref(ext.Operand(0))
+			if !ok {
+				return false
+			}
+			v.b, s.masked = mask, true
+			s.maskSh = 64 - uint8(ext.Ty.Scalar().Bits)
+		}
+	}
+	for _, x := range cluster {
+		if x.IsVectorInstr() {
+			s.vec++
+		}
+		if x.Op == ir.OpCall {
+			if k, ok := activeConst(x.Operand(1)); ok && k.Bits[0] != 0 {
+				s.live++
+			}
+		}
+	}
+	pc := c.emit(v)
+	for _, x := range cluster {
+		if _, ok := c.lowerInstr(nil, x, nil); !ok {
+			return false
+		}
+	}
+	// Cluster instructions are consecutive and all produce values, so
+	// their registers are consecutive too: the intermediates are every
+	// register from the head's up to the result's.
+	if lo := c.regOf[head]; len(cluster) > 1 && dst-lo == int32(len(cluster)-1) {
+		c.emit(vinstr{op: vSiteEnd, a: lo, b: dst, dst: -1})
+	}
+	c.code.code[pc].t0 = int32(len(c.code.code))
+	c.fused["site"]++
+	return true
+}
+
+// matchSite returns the length of the fault-site instrumentation
+// cluster core.Instrument emits that starts at body[0], or 0 when none
+// does. A scalar or whole-register site is one call
+//
+//	r = call injectFault*(v, active, id)
+//
+// and a vector site with Vl lanes is one chain per lane L, threading
+// cur (initially the site value v) through the lanes:
+//
+//	e = extractelement cur, L
+//	[m = extractelement mask, L; c = icmp slt m, 0; a = zext c to i32]
+//	r = call injectFault*(e, a or an active constant, id)
+//	cur = insertelement cur, r, L
+//
+// Every intermediate value must be used only inside the cluster, so
+// skipping the cluster leaves nothing unwritten that anyone reads. The
+// match inspects operands and use counts only; it allocates nothing.
+func matchSite(body []*ir.Instr) int {
+	head := body[0]
+	if head.Op == ir.OpCall {
+		if !isInjectCall(head) {
+			return 0
+		}
+		if _, ok := activeConst(head.Operand(1)); !ok {
+			return 0
+		}
+		return 1
+	}
+	if head.Op != ir.OpExtractElement {
+		return 0
+	}
+	vty := head.Operand(0).Type()
+	if !vty.IsVector() {
+		return 0
+	}
+	var mask ir.Value
+	if len(body) > 1 && body[1].Op == ir.OpExtractElement && isLane(body[1].Operand(1), 0) {
+		mask = body[1].Operand(0)
+		// vSite reads the first Vl mask lanes.
+		if mty := mask.Type(); !mty.IsVector() || mty.Len < vty.Len {
+			return 0
+		}
+	}
+	cur := head.Operand(0)
+	p := 0
+	for lane := 0; lane < vty.Len; lane++ {
+		need := 3
+		if mask != nil {
+			need = 6
+		}
+		if len(body)-p < need {
+			return 0
+		}
+		e := body[p]
+		if e.Op != ir.OpExtractElement || e.Operand(0) != cur ||
+			!isLane(e.Operand(1), lane) || e.NumUses() != 1 {
+			return 0
+		}
+		p++
+		var active ir.Value
+		if mask != nil {
+			m, cmp, z := body[p], body[p+1], body[p+2]
+			if m.Op != ir.OpExtractElement || m.Operand(0) != mask ||
+				!isLane(m.Operand(1), lane) || m.NumUses() != 1 ||
+				cmp.Op != ir.OpICmp || cmp.Pred != ir.IntSLT ||
+				cmp.Operand(0) != m || !isLane(cmp.Operand(1), 0) || cmp.NumUses() != 1 ||
+				z.Op != ir.OpZExt || z.Operand(0) != cmp || z.NumUses() != 1 {
+				return 0
+			}
+			active = z
+			p += 3
+		}
+		call, ins := body[p], body[p+1]
+		if !isInjectCall(call) || call.Operand(0) != e || call.NumUses() != 1 {
+			return 0
+		}
+		if mask != nil {
+			if call.Operand(1) != active {
+				return 0
+			}
+		} else if _, ok := activeConst(call.Operand(1)); !ok {
+			return 0
+		}
+		if ins.Op != ir.OpInsertElement || ins.Operand(0) != cur ||
+			ins.Operand(1) != call || !isLane(ins.Operand(2), lane) {
+			return 0
+		}
+		// An intermediate chain value feeds exactly the next lane's
+		// extract and insert.
+		if lane < vty.Len-1 && ins.NumUses() != 2 {
+			return 0
+		}
+		cur = ins
+		p += 2
+	}
+	return p
+}
+
+// isInjectCall reports whether in calls the injection runtime API with
+// its three-operand signature.
+func isInjectCall(in *ir.Instr) bool {
+	return in.Op == ir.OpCall && in.Callee != nil && in.Callee.IsDecl &&
+		strings.HasPrefix(in.Callee.Nam, "injectFault") && in.NumOperands() == 3
+}
+
+// isLane reports whether v is the integer constant lane.
+func isLane(v ir.Value, lane int) bool {
+	k, ok := v.(*ir.Const)
+	return ok && k.Ty.IsInt() && !k.Undef && len(k.Bits) == 1 && k.Bits[0] == uint64(lane)
+}
+
+// activeConst reports whether v is a defined scalar integer constant,
+// the active operand of an unmasked injection call.
+func activeConst(v ir.Value) (*ir.Const, bool) {
+	k, ok := v.(*ir.Const)
+	return k, ok && k.Ty.IsInt() && !k.Undef && len(k.Bits) == 1
+}
+
 // fuseGEP fills v as a fused gep+load / gep+store superinstruction.
 func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) bool {
 	base, ok1 := c.ref(gep.Operand(0))
@@ -440,7 +642,7 @@ func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) bool {
 	if op == vGEPLoad {
 		v.ty = mem.Ty
 		v.nw = int32(mem.Ty.Lanes())
-		v.c = c.regOf[gep] // materialized only when a recorder/tracer watches
+		v.c = c.regOf[gep] // materialized only when a recorder watches
 		v.dst = c.regOf[mem]
 	} else {
 		val, ok := c.ref(mem.Operand(0))

@@ -34,8 +34,8 @@ func getOperand(regs, consts []interp.Value, ref int32) interp.Value {
 //
 // Values are immutable once published (the interp package's producers
 // all build fresh results; bit flips clone before flipping), so the
-// frame never clones constants or operands. When no recorder or tracer
-// watches the value stream, result lane storage comes from the
+// frame never clones constants or operands. When no recorder watches
+// the value stream, result lane storage comes from the
 // machine's frame arena — marked at entry, released at exit — and every
 // operation routes through the interp package's Into kernels, which
 // write all lanes of the recycled storage. The return value is cloned
@@ -60,20 +60,22 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 	consts := code.consts
 	rec := it.Recorder()
 	prof := it.Profiler()
-	hasTracer := it.HasTracer()
 	fprof, _ := prof.(interp.FusedProfiler)
-	// fastFused: fused superinstructions may account in bulk only when
-	// nobody observes the per-instruction schedule (no recorder, no
-	// tracer) and the profiler — if any — understands fused groups.
-	fastFused := rec == nil && !hasTracer && (prof == nil || fprof != nil)
-	// useArena: the recorder and tracer are the only sinks that may
-	// retain result values beyond the frame; without them, results live
-	// at most until the frame returns and the arena recycles their
-	// storage wholesale.
-	useArena := rec == nil && !hasTracer
-	// watched: at least one per-instruction retirement sink is attached;
-	// hoisted so the hot loop skips the finish call entirely otherwise.
-	watched := rec != nil || hasTracer
+	// fastFused: fused superinstructions and site clusters may account
+	// in bulk only when no recorder observes the per-instruction
+	// schedule and the profiler — if any — understands fused groups.
+	fastFused := rec == nil && (prof == nil || fprof != nil)
+	// useArena: the recorder is the only sink that may retain result
+	// values beyond the frame; without it, results live at most until
+	// the frame returns and the arena recycles their storage wholesale.
+	// watched is its complement, hoisted so the hot loop skips the
+	// finish call entirely when nobody retires instructions.
+	useArena := rec == nil
+	watched := !useArena
+	// sites: the bound injection plan, which vSite asks to retire whole
+	// clusters; nil (no injection runtime) keeps every cluster on its
+	// per-instruction path.
+	sites := it.SitePlan()
 	ar := &m.arena
 	if useArena {
 		mk := ar.mark()
@@ -106,14 +108,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 		}
 		return nil
 	}
-	// finish emits the retirement events of a non-terminator instruction.
+	// finish emits the retirement event of a non-terminator instruction.
 	finish := func(in *ir.Instr, val interp.Value) {
-		if hasTracer {
-			it.TraceInstr(in, val)
-		}
-		if rec != nil {
-			rec.Retire(in, it.DynInstrs, val)
-		}
+		rec.Retire(in, it.DynInstrs, val)
 	}
 	// runMoves executes a sequenced edge bundle (the eliminated phis'
 	// parallel copy for the taken edge).
@@ -590,7 +587,7 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			// Fused lane-address + load. The fast path accounts both
 			// constituents in bulk; it is legal only away from a budget
 			// boundary (neither increment may skip a boundary check) and
-			// when no recorder/tracer watches the per-instruction stream.
+			// when no recorder watches the per-instruction stream.
 			if fastFused && it.DynInstrs&1023 < 1022 {
 				it.DynInstrs += 2
 				if v.vec {
@@ -747,6 +744,45 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				runMoves(v.m1)
 				pc = v.t1
 			}
+
+		case vSite:
+			// Fault-site cluster head. The fast path retires the whole
+			// cluster when nothing observes its lanes one by one: no
+			// per-instruction sink, no budget boundary inside it (so
+			// budget traps and heartbeats land exactly), and a plan that
+			// agrees none of its live lanes is the injection target. The
+			// cluster's result is then its unchanged input: values are
+			// immutable, so publishing it allocates nothing.
+			n := uint64(len(v.group))
+			if sites != nil && fastFused && (it.DynInstrs&1023)+n < 1024 {
+				s := v.site
+				live := s.live
+				if s.masked {
+					live = 0
+					for _, w := range getOperand(regs, consts, v.b).Bits[:s.lanes] {
+						if int64(w<<s.maskSh) < 0 {
+							live++
+						}
+					}
+				}
+				if sites.SkipSites(live) {
+					it.CountSiteVisits(live)
+					it.DynInstrs += n
+					it.DynVector += s.vec
+					if fprof != nil {
+						fprof.AccountFused(v.group)
+					}
+					regs[v.dst] = getOperand(regs, consts, v.a)
+					pc = v.t0
+					break
+				}
+			}
+			// Fallback: the cluster's own bytecode, lane by lane.
+			pc++
+
+		case vSiteEnd:
+			clear(regs[v.a:v.b])
+			pc++
 
 		default:
 			// Unknown opcode: compiler bug. Decline defensively so the

@@ -3,21 +3,31 @@
 // branch targets resolved at compile time, phi nodes eliminated into
 // parallel moves on edges, and fused superinstructions for the hot
 // digram patterns surfaced by the execution profiler (lane address
-// computation + load/store, scalar mask test + branch) — and executes
-// that form as a dense dispatch loop over recycled register frames.
+// computation + load/store, scalar mask test + branch, and a whole
+// fault-site instrumentation cluster) — and executes that form as a
+// dense dispatch loop over recycled register frames.
 //
 // The backend is attached to an interpreter through the interp.Engine
 // hook and executes against the interpreter's own observable state, so
 // the full tree-walker contract is preserved exactly: identical
 // outcomes, identical DynInstrs/DynVector accounting (phis and
 // terminators included), the identical budget-check schedule, identical
-// trap kinds/messages/provenance, and identical Recorder, Profiler and
-// Tracer event streams. Injection semantics are inherited for free: the
-// instrumentation chain calls the injectFault* externs through the
-// shared call protocol, so LaneSiteID attribution, dynamic site
-// counting and bit flips behave byte-identically. A function the
-// compiler cannot lower is simply declined at call time and tree-walked
-// instead.
+// trap kinds/messages/provenance, and identical Recorder and Profiler
+// event streams. A function the compiler cannot lower is simply
+// declined at call time and tree-walked instead.
+//
+// Fault injection has one implementation, the injectFault* externs the
+// instrumentation chain calls. The compiler puts a vSite op in front of
+// each site's cluster of chains (see matchSite). When nothing observes
+// the cluster lane by lane — no recorder, a profiler that accounts fused
+// groups, no budget boundary inside it — vSite counts the live lanes
+// from the mask and asks the plan bound through interp.SitePlan to
+// retire them in bulk. The plan agrees unless the injection target lies
+// among them or it keeps per-site visit counts; vSite then accounts the
+// whole cluster, publishes its unchanged input as the result and jumps
+// past it. Otherwise execution falls through into the cluster's own
+// bytecode and every lane calls the runtime, so LaneSiteID attribution,
+// dynamic site counting and bit flips stay byte-identical.
 //
 // The speedup comes from dispatch, not semantics: dense register frames
 // replace the tree-walker's per-frame value map, operands are fetched
@@ -77,7 +87,8 @@ func (p *Program) Compiled(f *ir.Func) bool { return p.fns[f] != nil }
 func (p *Program) NumCompiled() int { return len(p.fns) }
 
 // Fused returns the number of fused superinstructions emitted for the
-// named pattern ("gep+load", "gep+store", "cmp+br").
+// named pattern: "gep+load", "gep+store", "cmp+br", or "site" for the
+// fault-site clusters lowered to vSite.
 func (p *Program) Fused(pattern string) int { return p.fused[pattern] }
 
 // Machine executes one Program against one interpreter instance. It
@@ -129,9 +140,11 @@ const arenaChunk = 8192
 // result values. A frame marks the arena on entry and releases to that
 // mark on exit: every value the frame produced is dead by then (the
 // return value is cloned out first, memory stores copy bytes, and the
-// recorder/tracer — the only sinks that retain values — disable arena
-// mode entirely), so the storage is recycled instead of feeding the
-// garbage collector one allocation per executed instruction.
+// recorder — the only sink that retains values — disables arena mode
+// entirely), so the storage is recycled instead of feeding the garbage
+// collector one allocation per executed instruction. Within a frame, a
+// chunk stays reachable while any register still points into it (see
+// vSiteEnd).
 type bitsArena struct {
 	cur []uint64
 	off int
