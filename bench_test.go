@@ -377,15 +377,19 @@ func BenchmarkInterpreterTelemetry(b *testing.B) {
 // the exported API against drift).
 func BenchmarkFacadeStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sr, err := vulfi.RunStudy(vulfi.Config{
-			Benchmark:   vulfi.BenchmarkByName("VectorCopy"),
-			ISA:         vulfi.AVX,
-			Category:    vulfi.Control,
-			Scale:       benchmarks.ScaleTest,
-			Experiments: 5,
-			Campaigns:   1,
-			Seed:        int64(i + 1),
-		})
+		study, err := vulfi.NewStudy(
+			vulfi.WithBenchmarkName("VectorCopy"),
+			vulfi.WithISA(vulfi.AVX),
+			vulfi.WithCategory(vulfi.Control),
+			vulfi.WithScale(benchmarks.ScaleTest),
+			vulfi.WithExperiments(5),
+			vulfi.WithCampaigns(1),
+			vulfi.WithSeed(int64(i+1)),
+		)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sr, err := study.Run(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -84,13 +84,10 @@ func main() {
 	if *tel.Progress {
 		opts.Progress = os.Stderr
 	}
-	ew, telStop, err := tel.Start(os.Stderr)
-	if err != nil {
+	if err := tel.Start(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer telStop()
-	opts.Events = ew
 
 	if !(*table1 || *fig10 || *fig11 || *fig12 || *ablations || *ext || *all) {
 		flag.Usage()

@@ -203,16 +203,13 @@ func main() {
 		return
 	}
 
-	ew, telStop, err := tel.Start(os.Stderr)
-	if err != nil {
+	if err := tel.Start(os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer telStop()
-	cfg.Events = ew
 	if *tel.Progress {
 		pr := telemetry.NewProgress(os.Stderr, cfg.String(), *camps**exps)
-		cfg.OnExperiment = func(r *campaign.ExperimentResult) {
+		cfg.OnResult = func(_ int, _ int64, r *campaign.ExperimentResult) {
 			pr.Observe(r.Outcome.String(), r.Detected)
 		}
 		defer pr.Finish()

@@ -41,7 +41,7 @@ func TestSpecConfigExhaustive(t *testing.T) {
 	// Runtime wiring the server owns (hooks, registries, checkpoint
 	// replay) plus defaults the spec deliberately leaves alone.
 	runtime := map[string]bool{
-		"Metrics": true, "Events": true, "OnExperiment": true,
+		"Metrics": true,
 		"OnStart": true, "Heartbeat": true, "OnResult": true,
 		"Completed": true, "TraceCap": true,
 	}

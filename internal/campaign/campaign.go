@@ -168,13 +168,6 @@ type Config struct {
 	// registry; concurrent studies that must not interleave should each
 	// pass their own registry.
 	Metrics *telemetry.Registry
-	// Events, when non-nil, receives structured study/campaign/experiment
-	// spans as JSONL. A nil writer disables event emission.
-	Events *telemetry.EventWriter
-	// OnExperiment, when non-nil, is invoked after every completed
-	// experiment (live progress hook). It is called from worker
-	// goroutines and must be safe for concurrent use.
-	OnExperiment func(*ExperimentResult)
 	// OnStart, when non-nil, is invoked by the study worker pool just
 	// before experiment index begins executing on the given worker
 	// (liveness hook: paired with OnResult it brackets every in-flight
@@ -190,10 +183,10 @@ type Config struct {
 	// from worker goroutines.
 	Heartbeat func(worker int)
 	// OnResult, when non-nil, is invoked after every freshly executed
-	// experiment with its index, seed and result (checkpoint hook: the
-	// triple is exactly what a journal needs to replay the experiment on
-	// resume). Replayed Completed entries do not fire it. Called from
-	// worker goroutines; must be safe for concurrent use.
+	// experiment with its index, seed and result (checkpoint and live
+	// progress hook: the triple is exactly what a journal needs to replay
+	// the experiment on resume). Replayed Completed entries do not fire
+	// it. Called from worker goroutines; must be safe for concurrent use.
 	OnResult func(index int, seed int64, r *ExperimentResult)
 	// Completed carries results replayed from a checkpoint, keyed by
 	// experiment index. RunStudy merges them verbatim instead of
@@ -303,15 +296,15 @@ func (c Config) registry() *telemetry.Registry {
 
 // Prepare compiles the benchmark for the configured ISA, synthesizes
 // detectors when requested, and instruments the selected site category.
-// The compile+instrument wall time lands in the study registry's
-// "campaign.prepare" histogram.
+// The compile+instrument wall time is measured once and lands in the
+// study registry's "campaign.prepare" histogram, the profile's "compile"
+// phase and the timeline's "compile" span.
 func Prepare(cfg Config) (*Prepared, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	reg := cfg.registry()
 	prepStart := time.Now()
-	defer reg.Histogram("campaign.prepare").Since(prepStart)
 	res, err := codegen.Compile(mustProgram(cfg.Benchmark), cfg.ISA,
 		cfg.Benchmark.Name)
 	if err != nil {
@@ -349,14 +342,16 @@ func Prepare(cfg Config) (*Prepared, error) {
 	if cfg.Backend == "vm" {
 		p.vmProg = vm.Compile(res.Module)
 	}
+	compile := time.Since(prepStart)
+	reg.Histogram("campaign.prepare").Observe(compile)
 	if cfg.Profile {
 		p.prof = profile.NewCollector()
-		p.prof.Phase("compile", time.Since(prepStart))
+		p.prof.Phase("compile", compile)
 	}
 	if cfg.Timeline {
 		p.obs = newTimelineCollector(cfg, prepStart)
 		p.obs.Ctl("compile", p.spanID("compile", 0), p.obs.Root(),
-			prepStart, time.Since(prepStart), nil)
+			prepStart, compile, nil)
 	}
 	return p, nil
 }
@@ -465,17 +460,8 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 	if err != nil {
 		return nil, err
 	}
-	if wc != nil && wc.beat != nil {
-		xg.It.SetHeartbeat(wc.beat)
-	}
-	var gRing *trace.Ring
-	if p.Cfg.Trace {
-		gRing = trace.NewRing(p.Cfg.TraceCap)
-		xg.It.SetRecorder(gRing)
-	}
-	if p.prof != nil {
-		probe := p.prof.Probe()
-		xg.It.SetProfiler(probe)
+	gRing, probe := p.attach(xg, wc)
+	if probe != nil {
 		defer p.prof.Add("golden", probe)
 	}
 	var grng *rand.Rand
@@ -508,6 +494,26 @@ func (p *Prepared) execGolden(inputSeed int64, wc *workerCtx) (*goldenRun, error
 	return g, nil
 }
 
+// attach wires a fresh or pooled instance to the run's observers: the
+// worker's heartbeat, a trace ring in trace mode and a profiler probe
+// when profiling. It returns the ring and the probe, each nil when off.
+func (p *Prepared) attach(x *exec.Instance, wc *workerCtx) (*trace.Ring, *profile.Probe) {
+	if wc != nil && wc.beat != nil {
+		x.It.SetHeartbeat(wc.beat)
+	}
+	var ring *trace.Ring
+	if p.Cfg.Trace {
+		ring = trace.NewRing(p.Cfg.TraceCap)
+		x.It.SetRecorder(ring)
+	}
+	var probe *profile.Probe
+	if p.prof != nil {
+		probe = p.prof.Probe()
+		x.It.SetProfiler(probe)
+	}
+	return ring, probe
+}
+
 // goldenRunFor resolves the golden half of an experiment, through the
 // memoization cache when the cell carries one. A cache fill performed
 // by this caller lands as a "cache-fill" span on its lane: the span's
@@ -528,11 +534,10 @@ func (p *Prepared) goldenRunFor(inputSeed int64, wc *workerCtx) (*goldenRun, err
 		fillDur = time.Since(fillStart)
 		return g, err
 	})
-	if err == nil && !fillStart.IsZero() && wc.tracing() {
-		wc.lane.Record("cache-fill", p.spanID("cache-fill", inputSeed),
-			p.obs.Root(), fillStart, fillDur, map[string]string{
-				"input_seed": strconv.FormatInt(inputSeed, 10),
-			})
+	if err == nil && !fillStart.IsZero() {
+		wc.phase(p, nil, "cache-fill", inputSeed, "", fillStart, fillDur, func() map[string]string {
+			return map[string]string{"input_seed": strconv.FormatInt(inputSeed, 10)}
+		})
 	}
 	return g, err
 }
@@ -578,18 +583,14 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	if err != nil {
 		return nil, err
 	}
-	p.mx.golden.Since(start)
-	if p.prof != nil {
-		p.prof.Phase("golden", time.Since(start))
-	}
+	golden := time.Since(start)
 	var expID string
 	if wc.tracing() {
 		expID = p.spanID("experiment", seed)
-		wc.lane.Record("golden", p.spanID("golden", seed), expID,
-			start, time.Since(start), map[string]string{
-				"dyn_instrs": strconv.FormatUint(g.DynInstrs, 10),
-			})
 	}
+	wc.phase(p, p.mx.golden, "golden", seed, expID, start, golden, func() map[string]string {
+		return map[string]string{"dyn_instrs": strconv.FormatUint(g.DynInstrs, 10)}
+	})
 	res := &ExperimentResult{
 		DynSites:        g.DynSites,
 		GoldenDynInstrs: g.DynInstrs,
@@ -621,19 +622,7 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	if err != nil {
 		return nil, err
 	}
-	if wc != nil && wc.beat != nil {
-		xf.It.SetHeartbeat(wc.beat)
-	}
-	var fRing *trace.Ring
-	if p.Cfg.Trace {
-		fRing = trace.NewRing(p.Cfg.TraceCap)
-		xf.It.SetRecorder(fRing)
-	}
-	var fProbe *profile.Probe
-	if p.prof != nil {
-		fProbe = p.prof.Probe()
-		xf.It.SetProfiler(fProbe)
-	}
+	fRing, fProbe := p.attach(xf, wc)
 	// Same input as the golden half: replay its recorded stream rather
 	// than seeding a second identical source (the seeding, not the
 	// drawing, is what costs — see rngreplay.go).
@@ -649,17 +638,12 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 	}
 	faultyOut, ftr := p.observe(xf, spec2)
 	res.FaultyWall = time.Since(faultyStart)
-	p.mx.faulty.Observe(res.FaultyWall)
 	if fProbe != nil {
 		p.prof.Add("faulty", fProbe)
-		p.prof.Phase("faulty", res.FaultyWall)
 	}
-	if wc.tracing() {
-		wc.lane.Record("faulty", p.spanID("faulty", seed), expID,
-			faultyStart, res.FaultyWall, map[string]string{
-				"dyn_instrs": strconv.FormatUint(xf.It.DynInstrs, 10),
-			})
-	}
+	wc.phase(p, p.mx.faulty, "faulty", seed, expID, faultyStart, res.FaultyWall, func() map[string]string {
+		return map[string]string{"dyn_instrs": strconv.FormatUint(xf.It.DynInstrs, 10)}
+	})
 
 	compareStart := time.Now()
 	res.Detected = len(xf.It.Detections) > 0
@@ -678,14 +662,7 @@ func (p *Prepared) runExperiment(ctx context.Context, seed, inputSeed int64, wc 
 		res.Explanation = p.explain(g.ring, fRing, res, xf, ftr)
 		p.Profile.Add(res.Explanation)
 	}
-	p.mx.compare.Since(compareStart)
-	if p.prof != nil {
-		p.prof.Phase("compare", time.Since(compareStart))
-	}
-	if wc.tracing() {
-		wc.lane.Record("compare", p.spanID("compare", seed), expID,
-			compareStart, time.Since(compareStart), nil)
-	}
+	wc.phase(p, p.mx.compare, "compare", seed, expID, compareStart, time.Since(compareStart), nil)
 	p.release(xf)
 	res.Wall = time.Since(start)
 	p.finishExperiment(res)

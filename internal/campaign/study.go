@@ -10,7 +10,6 @@ import (
 	"vulfi/internal/obs"
 	"vulfi/internal/profile"
 	"vulfi/internal/stats"
-	"vulfi/internal/telemetry"
 	"vulfi/internal/trace"
 )
 
@@ -204,13 +203,11 @@ func RunStudy(ctx context.Context, cfg Config) (*StudyResult, error) {
 }
 
 // RunStudy runs the configured number of campaigns on a prepared cell.
-// When the cell carries an event sink it emits one span per experiment,
-// per campaign, and for the whole study; OnExperiment fires after every
-// completed experiment for live progress and OnResult checkpoints each
-// freshly executed (index, seed, result) triple.
+// OnResult fires after every freshly executed experiment with its
+// (index, seed, result) triple, for checkpoints and live progress.
 //
 // Cancellation is cooperative between experiments: in-flight experiments
-// finish (and are reported through OnResult/OnExperiment), no further
+// finish (and are reported through OnResult), no further
 // experiments start, and RunStudy returns ctx.Err(). Likewise the first
 // experiment error stops dispatch instead of wasting the rest of the
 // study. Indices present in Cfg.Completed are not re-run; their recorded
@@ -262,14 +259,8 @@ func (p *Prepared) RunStudy(ctx context.Context) (*StudyResult, error) {
 					abortOnce.Do(func() { close(abort) })
 					continue
 				}
-				if cfg.Events != nil {
-					cfg.Events.Emit(experimentSpan(cfg, i, seed, r))
-				}
 				if cfg.OnResult != nil {
 					cfg.OnResult(i, seed, r)
-				}
-				if cfg.OnExperiment != nil {
-					cfg.OnExperiment(r)
 				}
 			}
 		}(w)
@@ -328,9 +319,6 @@ dispatch:
 		sr.Campaigns = append(sr.Campaigns, cr)
 		sr.Totals.merge(cr)
 		sr.SDCRates = append(sr.SDCRates, cr.SDCRate())
-		if cfg.Events != nil {
-			cfg.Events.Emit(campaignSpan(cfg, c, cr))
-		}
 	}
 	sr.MeanSDC = stats.Mean(sr.SDCRates)
 	sr.MarginOfError = stats.MarginOfError95(sr.SDCRates)
@@ -359,90 +347,5 @@ dispatch:
 			studyAttrs(cfg, total))
 		sr.Timeline = p.obs.Finish(sr.Wall)
 	}
-	if cfg.Events != nil {
-		cfg.Events.Emit(studySpan(sr))
-	}
 	return sr, nil
-}
-
-// experimentSpan serializes one completed experiment as a telemetry
-// event, carrying the seed so any single experiment can be replayed.
-func experimentSpan(cfg Config, index int, seed int64, r *ExperimentResult) telemetry.Event {
-	fields := map[string]any{
-		"index":             index,
-		"seed":              seed,
-		"outcome":           r.Outcome.String(),
-		"detected":          r.Detected,
-		"hang":              r.Hang,
-		"dyn_sites":         r.DynSites,
-		"golden_dyn_instrs": r.GoldenDynInstrs,
-		"input":             r.InputLabel,
-		"faulty_wall_ns":    int64(r.FaultyWall),
-	}
-	if r.DynSites > 0 {
-		fields["injection"] = r.Record.String()
-	}
-	if r.Trap != nil {
-		fields["trap"] = r.Trap.Error()
-		if at := r.Trap.At(); at != "" {
-			fields["trap_site"] = at
-		}
-	}
-	if e := r.Explanation; e != nil {
-		fields["slice_class"] = e.SliceClass()
-		fields["depth"] = e.Depth
-	}
-	return telemetry.Event{
-		Type: "experiment", Name: cfg.String(),
-		DurNS: int64(r.Wall), Fields: fields,
-	}
-}
-
-// campaignSpan summarizes one campaign (the paper's unit of statistical
-// sampling) as a telemetry event.
-func campaignSpan(cfg Config, index int, cr CampaignResult) telemetry.Event {
-	return telemetry.Event{
-		Type: "campaign", Name: cfg.String(), DurNS: int64(cr.WallTotal),
-		Fields: map[string]any{
-			"index":        index,
-			"experiments":  cr.Experiments,
-			"sdc":          cr.SDC,
-			"benign":       cr.Benign,
-			"crash":        cr.Crash,
-			"hang":         cr.Hang,
-			"detected":     cr.Detected,
-			"sdc_rate":     cr.SDCRate(),
-			"wall_min_ns":  int64(cr.WallMin),
-			"wall_mean_ns": int64(cr.WallMean()),
-			"wall_max_ns":  int64(cr.WallMax),
-		},
-	}
-}
-
-// studySpan serializes the qualified study summary, including enough of
-// the configuration (seed, scale, detector flags) to rerun the cell.
-func studySpan(sr *StudyResult) telemetry.Event {
-	cfg := sr.Cfg
-	return telemetry.Event{
-		Type: "study", Name: cfg.String(), DurNS: int64(sr.Wall),
-		Fields: map[string]any{
-			"benchmark":     cfg.Benchmark.Name,
-			"isa":           cfg.ISA.Name,
-			"category":      cfg.Category.String(),
-			"campaigns":     cfg.Campaigns,
-			"experiments":   cfg.Experiments,
-			"seed":          cfg.Seed,
-			"detectors":     cfg.Detectors,
-			"static_sites":  sr.StaticSites,
-			"lane_sites":    sr.LaneSites,
-			"sdc":           sr.Totals.SDC,
-			"benign":        sr.Totals.Benign,
-			"crash":         sr.Totals.Crash,
-			"mean_sdc_rate": sr.MeanSDC,
-			// finiteOr: a single-campaign margin is +Inf, which JSON
-			// cannot carry.
-			"margin_of_error": finiteOr(sr.MarginOfError, -1),
-			"near_normal":     sr.NearNormal,
-		},
-	}
 }

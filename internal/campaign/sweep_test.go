@@ -50,15 +50,15 @@ func (r sweepRun) String() string {
 }
 
 // TestSweepEveryDynamicSite injects at every dynamic fault site of
-// VectorCopy and DotProduct at test scale, on both ISAs and in every
-// category, under both backends, flipping each bit of each site's width
-// in turn (about 18k pairs, a few seconds). Outputs, traps with provenance,
+// VectorCopy, DotProduct and VectorSum at test scale, on both ISAs and
+// in every category, under both backends, flipping each bit of each
+// site's width in turn (a few seconds). Outputs, traps with provenance,
 // dynamic counts, detections, injection records and DynSites must all
 // be identical: a bit flip on a cluster's first or last lane, or a
 // budget trap after a control fault, has to come out the same whichever
 // backend runs it.
 func TestSweepEveryDynamicSite(t *testing.T) {
-	for _, b := range []*benchmarks.Benchmark{benchmarks.VectorCopy, benchmarks.DotProduct} {
+	for _, b := range []*benchmarks.Benchmark{benchmarks.VectorCopy, benchmarks.DotProduct, benchmarks.VectorSum} {
 		for _, target := range isa.All {
 			for _, cat := range passes.AllCategories {
 				t.Run(b.Name+"/"+target.Name+"/"+cat.String(), func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"vulfi/internal/obs"
+	"vulfi/internal/telemetry"
 )
 
 // workerCtx carries one study worker's observability identity through
@@ -23,6 +24,33 @@ type workerCtx struct {
 
 // tracing reports whether this worker records spans. Safe on nil.
 func (wc *workerCtx) tracing() bool { return wc != nil && wc.lane != nil }
+
+// phase feeds one campaign phase, timed once by its caller, to every
+// sink that is on: the cell histogram h, the profile's phase table and
+// the worker's span lane, so all three carry the same duration. A nil h
+// marks a span-only phase: cache-fill runs inside golden and is counted
+// there. An empty parent places the span under the study root. attrs,
+// when non-nil, builds the span's attributes and runs only when the span
+// is recorded. Safe on nil.
+func (wc *workerCtx) phase(p *Prepared, h *telemetry.Histogram, name string, n int64, parent string, start time.Time, d time.Duration, attrs func() map[string]string) {
+	if h != nil {
+		h.Observe(d)
+		if p.prof != nil {
+			p.prof.Phase(name, d)
+		}
+	}
+	if !wc.tracing() {
+		return
+	}
+	if parent == "" {
+		parent = p.obs.Root()
+	}
+	var a map[string]string
+	if attrs != nil {
+		a = attrs()
+	}
+	wc.lane.Record(name, p.spanID(name, n), parent, start, d, a)
+}
 
 // expSpan records the enclosing experiment span once the experiment
 // has fully finished. Every attribute derives from the deterministic

@@ -123,6 +123,35 @@ func TestStudyTimelineStructure(t *testing.T) {
 	}
 }
 
+// TestStudyPhasesAgree: each campaign phase is timed once, so with both
+// the timeline and the profiler on, the summed golden, faulty and
+// compare spans equal the profile's phase walls to the nanosecond, and
+// the compile span equals the compile phase.
+func TestStudyPhasesAgree(t *testing.T) {
+	cfg := smallCfg(benchmarks.VectorCopy, passes.PureData)
+	cfg.Timeline = true
+	cfg.Profile = true
+	cfg.Inputs = 0
+	sr, err := RunStudy(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spanNS := map[string]int64{}
+	for _, s := range sr.Timeline.Spans {
+		spanNS[s.Name] += s.DurNS
+	}
+	phaseNS := map[string]int64{}
+	for _, r := range sr.HotProfile.Phases {
+		phaseNS[r.Phase] = r.WallNS
+	}
+	for _, name := range []string{"compile", "golden", "faulty", "compare"} {
+		if spanNS[name] == 0 || spanNS[name] != phaseNS[name] {
+			t.Errorf("%s: spans sum to %d ns, profile phase says %d ns",
+				name, spanNS[name], phaseNS[name])
+		}
+	}
+}
+
 // TestStudyTimelineDeterministicAcrossWorkers: the canonical span tree
 // (IDs, parents, names, attributes) is part of the deterministic result
 // surface; only lanes and timestamps may vary with parallelism.

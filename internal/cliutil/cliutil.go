@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"vulfi/internal/buildinfo"
 	"vulfi/internal/telemetry"
@@ -125,11 +124,10 @@ func Large(fs *flag.FlagSet) *bool {
 	return fs.Bool("large", false, "use large inputs")
 }
 
-// Telemetry is the shared observability flag group — -progress,
-// -events and -http — registered identically by every campaign binary.
+// Telemetry is the shared observability flag group — -progress and
+// -http — registered identically by every campaign binary.
 type Telemetry struct {
 	Progress *bool
-	Events   *string
 	HTTP     *string
 }
 
@@ -137,40 +135,19 @@ type Telemetry struct {
 func TelemetryFlags(fs *flag.FlagSet) *Telemetry {
 	return &Telemetry{
 		Progress: fs.Bool("progress", false, "render live progress on stderr"),
-		Events:   fs.String("events", "", "write structured JSONL spans to this file"),
 		HTTP:     fs.String("http", "", "serve /metrics, /debug/vars and pprof on this address (e.g. :6060)"),
 	}
 }
 
-// Start opens the -events sink and the -http telemetry server. It
-// returns the event writer (nil unless -events was given) and a cleanup
-// function — defer it — that flushes and closes the sink, reporting
-// close errors to stderr.
-func (t *Telemetry) Start(stderr io.Writer) (*telemetry.EventWriter, func(), error) {
-	var ew *telemetry.EventWriter
-	if *t.Events != "" {
-		f, err := os.Create(*t.Events)
-		if err != nil {
-			return nil, func() {}, err
-		}
-		ew = telemetry.NewEventWriter(f)
+// Start starts the -http telemetry server when one was asked for.
+func (t *Telemetry) Start(stderr io.Writer) error {
+	if *t.HTTP == "" {
+		return nil
 	}
-	if *t.HTTP != "" {
-		_, url, err := telemetry.Serve(*t.HTTP, telemetry.Default())
-		if err != nil {
-			if ew != nil {
-				ew.Close()
-			}
-			return nil, func() {}, err
-		}
-		fmt.Fprintf(stderr, "telemetry on %s/metrics (also /debug/vars, /debug/pprof)\n", url)
+	_, url, err := telemetry.Serve(*t.HTTP, telemetry.Default())
+	if err != nil {
+		return err
 	}
-	cleanup := func() {
-		if ew != nil {
-			if err := ew.Close(); err != nil {
-				fmt.Fprintf(stderr, "events: %v\n", err)
-			}
-		}
-	}
-	return ew, cleanup, nil
+	fmt.Fprintf(stderr, "telemetry on %s/metrics (also /debug/vars, /debug/pprof)\n", url)
+	return nil
 }

@@ -100,7 +100,6 @@ func TestSharedFlagsDoNotDrift(t *testing.T) {
 		{name: "broadcast-detector", bins: []string{"vulfi"}},
 		{name: "large", bins: []string{"vulfi", "experiments"}},
 		{name: "progress", bins: []string{"vulfi", "experiments"}},
-		{name: "events", bins: []string{"vulfi", "experiments"}},
 		{name: "http", bins: []string{"vulfi", "experiments"}},
 		{name: "version", bins: []string{"vulfi", "experiments", "vspcc"}},
 	}

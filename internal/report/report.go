@@ -48,9 +48,6 @@ type Options struct {
 	// Metrics receives study telemetry (phase histograms, outcome
 	// counters). Nil records to the process-wide default registry.
 	Metrics *telemetry.Registry
-	// Events, when non-nil, receives structured study/campaign/experiment
-	// spans as JSONL.
-	Events *telemetry.EventWriter
 	// Progress, when non-nil, renders a live per-cell progress line
 	// (counts, exp/s, ETA) to the writer — typically os.Stderr.
 	Progress io.Writer
@@ -71,13 +68,12 @@ func (o Options) ctx() context.Context {
 // runs it, rendering live progress when configured.
 func (o Options) runStudy(cfg campaign.Config) (*campaign.StudyResult, error) {
 	cfg.Metrics = o.Metrics
-	cfg.Events = o.Events
 	cfg.Inputs = o.Inputs
 	cfg.Backend = o.Backend
 	if o.Progress != nil {
 		pr := telemetry.NewProgress(o.Progress, cfg.String(),
 			cfg.Campaigns*cfg.Experiments)
-		cfg.OnExperiment = func(r *campaign.ExperimentResult) {
+		cfg.OnResult = func(_ int, _ int64, r *campaign.ExperimentResult) {
 			pr.Observe(r.Outcome.String(), r.Detected)
 		}
 		defer pr.Finish()

@@ -304,10 +304,12 @@ func ReplayJournal(path string) (*Replay, error) {
 	return rp, nil
 }
 
-// ScanJournals replays every job journal under dir, in name order.
-// Unreadable files are reported through damaged and skipped, so one bad
-// journal cannot block a daemon restart.
-func ScanJournals(dir string, damaged func(path string, err error)) ([]*Replay, error) {
+// ScanJournals replays every job journal under dir, in name order. The
+// file skip names, when it lies in dir, is passed over unread: it is the
+// daemon's history store, which defaults to dir/history.jsonl and is no
+// job journal. Unreadable files are reported through damaged and
+// skipped, so one bad journal cannot block a daemon restart.
+func ScanJournals(dir, skip string, damaged func(path string, err error)) ([]*Replay, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -315,10 +317,19 @@ func ScanJournals(dir string, damaged func(path string, err error)) ([]*Replay, 
 		}
 		return nil, err
 	}
+	var skipInfo os.FileInfo
+	if skip != "" {
+		skipInfo, _ = os.Stat(skip) // a missing file matches nothing
+	}
 	var out []*Replay
 	for _, ent := range ents {
 		if ent.IsDir() || !strings.HasSuffix(ent.Name(), ".jsonl") {
 			continue
+		}
+		if skipInfo != nil {
+			if fi, err := ent.Info(); err == nil && os.SameFile(fi, skipInfo) {
+				continue
+			}
 		}
 		path := filepath.Join(dir, ent.Name())
 		rp, err := ReplayJournal(path)

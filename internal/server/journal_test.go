@@ -147,7 +147,7 @@ func TestScanJournalsSkipsDamaged(t *testing.T) {
 		t.Fatal(err)
 	}
 	var damaged []string
-	rps, err := ScanJournals(dir, func(path string, _ error) {
+	rps, err := ScanJournals(dir, "", func(path string, _ error) {
 		damaged = append(damaged, filepath.Base(path))
 	})
 	if err != nil {

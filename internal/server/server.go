@@ -210,11 +210,12 @@ func (s *Server) logf(format string, args ...any) { s.opts.Logf(format, args...)
 // Registry returns the server-level telemetry registry.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// resume replays every journal under JournalDir: terminal jobs are kept
-// for status queries; unfinished ones are re-queued with their
-// checkpoints, ahead of any new submissions.
+// resume replays every journal under JournalDir, passing over the
+// server's own history store: terminal jobs are kept for status
+// queries; unfinished ones are re-queued with their checkpoints, ahead
+// of any new submissions.
 func (s *Server) resume() error {
-	replays, err := ScanJournals(s.opts.JournalDir, func(path string, err error) {
+	replays, err := ScanJournals(s.opts.JournalDir, s.historyPath, func(path string, err error) {
 		s.logf("resume: skipping damaged journal %s: %v", path, err)
 	})
 	if err != nil {

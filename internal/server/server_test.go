@@ -4,14 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"vulfi/internal/atlas"
 	"vulfi/internal/campaign"
 )
 
@@ -390,5 +395,59 @@ func TestServerResumeSkipsTerminalJobs(t *testing.T) {
 	}
 	if got := s2.mx.resumed.Value(); got != 0 {
 		t.Fatalf("terminal job counted as resumed (%d)", got)
+	}
+}
+
+// TestServerResumeIgnoresHistoryStore: the default history store lives
+// in the journal directory, but a restart must not replay it as a job
+// journal. No "damaged journal" line is logged, the finished job is
+// still listed, and its history entry survives byte for byte.
+func TestServerResumeIgnoresHistoryStore(t *testing.T) {
+	dir := t.TempDir()
+	s1 := newTestServer(t, Options{JournalDir: dir})
+	job, err := s1.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, s1, job.ID, StateDone)
+	drain(t, s1)
+	histPath := filepath.Join(dir, "history.jsonl")
+	before, err := os.ReadFile(histPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var logs []string
+	s2 := newTestServer(t, Options{JournalDir: dir, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}})
+	defer drain(t, s2)
+	mu.Lock()
+	for _, line := range logs {
+		if strings.Contains(line, "damaged journal") {
+			t.Errorf("restart logged %q", line)
+		}
+	}
+	mu.Unlock()
+	jobs := s2.Jobs()
+	if len(jobs) != 1 || jobs[0].ID != job.ID {
+		t.Fatalf("restart lists %d jobs, want only %s", len(jobs), job.ID)
+	}
+	after, err := os.ReadFile(histPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("history store changed across restart:\nbefore: %s\nafter:  %s", before, after)
+	}
+	entries, err := atlas.ReadHistory(histPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || entries[0].Job != job.ID {
+		t.Fatalf("history holds %d entries, want one for job %s", len(entries), job.ID)
 	}
 }

@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"bytes"
-	"encoding/json"
 	"runtime"
 	"sync"
 	"testing"
@@ -57,78 +55,4 @@ func TestConcurrentInstruments(t *testing.T) {
 	if s.Max != wantMax {
 		t.Fatalf("max = %v, want %v", s.Max, wantMax)
 	}
-}
-
-// TestConcurrentEventWriter checks the JSONL sink under concurrent
-// emitters. Run with -race it doubles as the data-race check; the
-// structural checks hold either way: every line of the output must
-// parse as one complete JSON event, and every (worker, i) payload must
-// land exactly once — i.e. no torn, interleaved, duplicated, or
-// dropped lines, the contract that makes a study log greppable while
-// workers are still writing it.
-func TestConcurrentEventWriter(t *testing.T) {
-	var sink lockedBuffer
-	ew := NewEventWriter(&sink)
-	workers := runtime.GOMAXPROCS(0)
-	const perWorker = 200
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				ew.Emit(Event{Type: "experiment", Fields: map[string]any{"w": w, "i": i}})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if err := ew.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	total := workers * perWorker
-	if got := ew.Count(); got != uint64(total) {
-		t.Fatalf("event count = %d, want %d", got, total)
-	}
-
-	lines := bytes.Split(bytes.TrimRight(sink.buf, "\n"), []byte("\n"))
-	if len(lines) != total {
-		t.Fatalf("sink holds %d lines, want %d", len(lines), total)
-	}
-	seen := make(map[[2]int]bool, total)
-	for _, line := range lines {
-		var e Event
-		if err := json.Unmarshal(line, &e); err != nil {
-			t.Fatalf("torn JSONL line %q: %v", line, err)
-		}
-		if e.Type != "experiment" || e.Time.IsZero() {
-			t.Fatalf("malformed event on line %q", line)
-		}
-		w, okW := e.Fields["w"].(float64)
-		i, okI := e.Fields["i"].(float64)
-		if !okW || !okI {
-			t.Fatalf("event lost its payload: %q", line)
-		}
-		key := [2]int{int(w), int(i)}
-		if seen[key] {
-			t.Fatalf("event (w=%d, i=%d) written twice", key[0], key[1])
-		}
-		seen[key] = true
-	}
-	if len(seen) != total {
-		t.Fatalf("%d distinct (worker, i) events, want %d", len(seen), total)
-	}
-}
-
-// lockedBuffer is a minimal concurrent-safe writer (the EventWriter
-// serializes, but the buffer must not race with test readers).
-type lockedBuffer struct {
-	mu  sync.Mutex
-	buf []byte
-}
-
-func (b *lockedBuffer) Write(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.buf = append(b.buf, p...)
-	return len(p), nil
 }

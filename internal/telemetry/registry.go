@@ -1,7 +1,7 @@
 // Package telemetry is the campaign observability substrate: atomic
 // counters and gauges, lock-free-sharded duration histograms with fixed
-// bucket quantization, a structured JSONL event writer, Prometheus/expvar
-// exposition, and a terminal progress reporter.
+// bucket quantization, Prometheus/expvar exposition, and a terminal
+// progress reporter. Spans live in internal/obs.
 //
 // The package depends only on the standard library so every layer of the
 // system (interpreter, codegen, passes, campaign, commands) can record

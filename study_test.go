@@ -3,11 +3,13 @@ package vulfi
 import (
 	"context"
 	"testing"
+
+	"vulfi/internal/campaign"
 )
 
 // TestNewStudyMatchesClassicAPI: a study built from functional options
-// must run the exact same schedule as the deprecated Config-struct
-// entry point.
+// must run the exact same schedule as campaign.RunStudy on the
+// equivalent Config struct.
 func TestNewStudyMatchesClassicAPI(t *testing.T) {
 	study, err := NewStudy(
 		WithBenchmarkName("VectorCopy"),
@@ -28,7 +30,7 @@ func TestNewStudyMatchesClassicAPI(t *testing.T) {
 	}
 
 	cfg := study.Config()
-	want, err := RunStudyContext(context.Background(), cfg)
+	want, err := campaign.RunStudy(context.Background(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
