@@ -259,8 +259,13 @@ type Prepared struct {
 	// shared by every instance of the cell; each instance gets its own
 	// vm.Machine over it.
 	vmProg *vm.Program
-	// pool recycles reset interpreter instances across experiments.
-	pool sync.Pool
+	// free recycles reset interpreter instances across experiments. It
+	// holds at most as many instances as ran at once, and they die with
+	// the cell: a sync.Pool's victim cache would keep each finished
+	// cell's instances — and the module, program and memory behind them —
+	// reachable through up to two more garbage collections.
+	freeMu sync.Mutex
+	free   []*exec.Instance
 }
 
 // cellMetrics caches the study cell's instruments so the per-experiment
@@ -370,8 +375,13 @@ func mustProgram(b *benchmarks.Benchmark) *langProgram {
 // instance read it through the site-plan hook, and the VM's
 // resolved-extern cache stays valid across experiments.
 func (p *Prepared) newInstance(plan *core.Plan, budget uint64) (*exec.Instance, error) {
-	if v := p.pool.Get(); v != nil {
-		x := v.(*exec.Instance)
+	p.freeMu.Lock()
+	var x *exec.Instance
+	if n := len(p.free); n > 0 {
+		x, p.free = p.free[n-1], p.free[:n-1]
+	}
+	p.freeMu.Unlock()
+	if x != nil {
 		if err := x.Reset(interp.Options{Budget: budget}); err == nil {
 			x.It.SetSitePlan(plan)
 			return x, nil
@@ -395,7 +405,11 @@ func (p *Prepared) newInstance(plan *core.Plan, budget uint64) (*exec.Instance, 
 
 // release returns an instance to the reuse pool. Callers must not touch
 // the instance afterwards: the next newInstance wipes its state.
-func (p *Prepared) release(x *exec.Instance) { p.pool.Put(x) }
+func (p *Prepared) release(x *exec.Instance) {
+	p.freeMu.Lock()
+	p.free = append(p.free, x)
+	p.freeMu.Unlock()
+}
 
 // observe runs the entry function and extracts the comparable output:
 // the declared output regions plus the program output stream.

@@ -5,17 +5,9 @@
 package passes
 
 import (
-	"time"
-
 	"vulfi/internal/ir"
 	"vulfi/internal/isa"
-	"vulfi/internal/telemetry"
 )
-
-// sliceHist accumulates per-slice analysis wall time; fault-site
-// enumeration runs one forward slice per candidate site, so this is the
-// site-selection cost profile.
-var sliceHist = telemetry.Default().Histogram("passes.forward_slice")
 
 // SliceFlags summarizes what a forward slice reaches.
 type SliceFlags struct {
@@ -33,7 +25,6 @@ type SliceFlags struct {
 // slice reaches. The walk follows SSA edges only (it does not track
 // data flow through memory), matching IR-level slicing practice.
 func ForwardSlice(v ir.Value) SliceFlags {
-	defer sliceHist.Since(time.Now())
 	var flags SliceFlags
 	seen := map[*ir.Instr]bool{}
 	var visit func(uses []ir.Use)

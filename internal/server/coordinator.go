@@ -375,8 +375,8 @@ func (s *Server) runShardedJob(job *Job) {
 			return
 		}
 		s.mx.completed.Inc()
+		s.recordHistory(job, sr) // before done, as in runJob
 		job.finish(StateDone, "", marshalStudy(sr))
-		s.recordHistory(job, sr)
 	case job.cancelRequested():
 		s.mx.cancelled.Inc()
 		job.finish(StateCancelled, "", nil)

@@ -49,20 +49,14 @@ const (
 	// dispatch and jumps to t0; otherwise execution falls through into
 	// the cluster's own per-instruction bytecode, which follows it.
 	vSite
-	// vSiteEnd closes a vector cluster's per-instruction path. It
-	// accounts nothing; it clears the registers of the cluster's
-	// intermediate values [a, b). The fast path never writes them, so
-	// left alone they would keep whichever arena chunk the last
-	// lane-by-lane pass allocated in reachable for the rest of the frame.
-	vSiteEnd
 )
 
 // A move copies one value into a register: the phi-elimination parallel
 // copy, sequenced at compile time (lost-copy and swap safe — cycles are
 // broken through the function's scratch register). src is an operand
-// ref; values are immutable once published (every producer builds a
-// fresh result, bit flips clone first), so constant sources are shared
-// rather than cloned.
+// ref. Registers own their lane words, so a move copies the words into
+// the phi's own; with a recorder attached, where every value is a fresh
+// allocation, it shares the source instead.
 type move struct {
 	dst int32
 	src int32
@@ -88,7 +82,6 @@ type vinstr struct {
 	a, b, c int32 // operand refs
 
 	ty   *ir.Type
-	nw   int32  // result lane words (len(Bits) of the result value)
 	elem uint64 // gep element byte size; alloca total bytes
 	// idxSh sign-extends the statically-typed index operand (gep index,
 	// extract/insert lane) without re-deriving its scalar width per
@@ -133,10 +126,22 @@ type siteShape struct {
 // fnCode is one compiled function body.
 type fnCode struct {
 	fn      *ir.Func
-	nregs   int
+	nparams int
+	// slots lays out registers nparams and up: each owns words
+	// [off, off+n) of the frame's nwords lane words.
+	slots   []regSlot
+	nwords  int
 	consts  []interp.Value
 	globals []globalSlot
 	code    []vinstr
+}
+
+// regSlot is one register's storage in its frame: its type and its
+// lane words. Parameters have none; they share the caller's arguments,
+// which nothing writes while the callee runs.
+type regSlot struct {
+	ty     *ir.Type
+	off, n int32
 }
 
 // globalSlot materializes one module global's address into a register
@@ -146,14 +151,12 @@ type fnCode struct {
 type globalSlot struct {
 	reg int32
 	g   *ir.Global
-	ty  *ir.Type
 }
 
 // compiler carries the per-function lowering state.
 type compiler struct {
 	f       *ir.Func
-	code    fnCode
-	nreg    int32
+	code    *fnCode // separate from the compiler, whose maps die after lowering
 	regOf   map[*ir.Instr]int32
 	scratch int32
 	constIx map[*ir.Const]int32
@@ -177,24 +180,30 @@ type fixup struct {
 // head or in the entry block, and phis lacking an incoming for a
 // predecessor. Those fall back to tree-walking.
 func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*fnCode, bool) {
-	c := &compiler{
-		f:       f,
-		regOf:   map[*ir.Instr]int32{},
-		constIx: map[*ir.Const]int32{},
-		globIx:  map[*ir.Global]int32{},
-		starts:  map[*ir.Block]int32{},
-		fused:   fused,
-		declIx:  declIx,
-	}
-	c.code.fn = f
 	if len(f.Blocks) == 0 {
 		return nil, false
 	}
+	ninstr := 0
+	for _, b := range f.Blocks {
+		ninstr += len(b.Instrs)
+	}
+	c := &compiler{
+		f:       f,
+		code:    &fnCode{fn: f, nparams: len(f.Params)},
+		regOf:   make(map[*ir.Instr]int32, ninstr),
+		constIx: map[*ir.Const]int32{},
+		globIx:  map[*ir.Global]int32{},
+		starts:  make(map[*ir.Block]int32, len(f.Blocks)),
+		fused:   fused,
+		declIx:  declIx,
+	}
 
 	// Register layout: parameters first (slot == Param.Index), then one
-	// slot per value-producing instruction, then the move scratch, then
-	// any globals the body references.
-	c.nreg = int32(len(f.Params))
+	// slot per value-producing instruction, then the move scratch (as
+	// wide as the widest phi, the only values it parks), then any
+	// globals the body references.
+	c.code.slots = make([]regSlot, 0, ninstr+1)
+	scratchW := 0
 	for _, b := range f.Blocks {
 		sawNonPhi := false
 		for _, in := range b.Instrs {
@@ -203,16 +212,17 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 			}
 			if in.Op != ir.OpPhi {
 				sawNonPhi = true
+			} else {
+				scratchW = max(scratchW, in.Ty.Lanes())
 			}
 			if !in.Ty.IsVoid() {
-				c.regOf[in] = c.nreg
-				c.nreg++
+				c.regOf[in] = c.newReg(in.Ty, in.Ty.Lanes())
 			}
 		}
 	}
-	c.scratch = c.nreg
-	c.nreg++
+	c.scratch = c.newReg(nil, scratchW)
 
+	c.code.code = make([]vinstr, 0, codeLen(f))
 	for _, b := range f.Blocks {
 		c.starts[b] = int32(len(c.code.code))
 		if !c.lowerBlock(b) {
@@ -230,8 +240,49 @@ func compileFunc(f *ir.Func, fused map[string]int, declIx map[*ir.Func]int32) (*
 			c.code.code[fx.pc].t0 = target
 		}
 	}
-	c.code.nregs = int(c.nreg)
-	return &c.code, true
+	return c.code, true
+}
+
+// newReg appends a register owning n lane words and returns its slot.
+func (c *compiler) newReg(ty *ir.Type, n int) int32 {
+	c.code.slots = append(c.code.slots,
+		regSlot{ty: ty, off: int32(c.code.nwords), n: int32(n)})
+	c.code.nwords += n
+	return int32(c.code.nparams + len(c.code.slots) - 1)
+}
+
+// codeLen returns the number of vinstrs lowerBlock emits for f: it
+// walks every block the way lowerBlock does, so the bytecode is
+// allocated once at its final size.
+func codeLen(f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		body := b.Instrs
+		if len(body) > 0 && body[0].Op == ir.OpPhi {
+			n++ // the block's vPhiGroup
+			for len(body) > 0 && body[0].Op == ir.OpPhi {
+				body = body[1:]
+			}
+		}
+		for i := 0; i < len(body); i++ {
+			n++
+			if body[i].Op.IsTerminator() {
+				break
+			}
+			if k := matchSite(body[i:]); k > 0 {
+				n += k // the vSite heads the cluster's k vinstrs
+				i += k - 1
+				continue
+			}
+			if i+1 < len(body) && fusion(body[i], body[i+1]) != vInvalid {
+				if body[i+1].Op.IsTerminator() {
+					break
+				}
+				i++
+			}
+		}
+	}
+	return n
 }
 
 // ref resolves an operand to its slot: register for params and
@@ -255,11 +306,9 @@ func (c *compiler) ref(v ir.Value) (int32, bool) {
 	case *ir.Global:
 		r, ok := c.globIx[x]
 		if !ok {
-			r = c.nreg
-			c.nreg++
+			r = c.newReg(x.Type(), 1)
 			c.globIx[x] = r
-			c.code.globals = append(c.code.globals,
-				globalSlot{reg: r, g: x, ty: x.Type()})
+			c.code.globals = append(c.code.globals, globalSlot{reg: r, g: x})
 		}
 		return r, true
 	}
@@ -329,29 +378,27 @@ func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) (bool, bool) {
 	}
 	if r, ok := c.regOf[in]; ok {
 		v.dst = r
-		v.nw = int32(in.Ty.Lanes())
 	}
 
 	// Digram fusion: adjacent single-use producer/consumer pairs from
 	// the profiler's superinstruction candidate list. Fusing never
 	// reorders accounting — the fused opcodes replay both constituents'
 	// DynInstrs/budget/trace/retire schedule.
-	if next != nil && in.NumUses() == 1 {
-		switch {
-		case in.Op == ir.OpGEP && next.Op == ir.OpLoad && next.Operand(0) == in:
+	if next != nil {
+		switch fusion(in, next) {
+		case vGEPLoad:
 			if ok := c.fuseGEP(&v, in, next, vGEPLoad); ok {
 				c.fused["gep+load"]++
 				c.emit(v)
 				return true, true
 			}
-		case in.Op == ir.OpGEP && next.Op == ir.OpStore && next.Operand(1) == in:
+		case vGEPStore:
 			if ok := c.fuseGEP(&v, in, next, vGEPStore); ok {
 				c.fused["gep+store"]++
 				c.emit(v)
 				return true, true
 			}
-		case (in.Op == ir.OpICmp || in.Op == ir.OpFCmp) && in.Ty == ir.I1 &&
-			next.Op == ir.OpCondBr && next.Operand(0) == in:
+		case vCmpBr:
 			if ok := c.fuseCmpBr(b, &v, in, next); ok {
 				c.fused["cmp+br"]++
 				c.emit(v)
@@ -366,6 +413,24 @@ func (c *compiler) lowerInstr(b *ir.Block, in, next *ir.Instr) (bool, bool) {
 	}
 	c.emit(v)
 	return false, true
+}
+
+// fusion returns the superinstruction the adjacent pair in, next lowers
+// to, or vInvalid: in must be single-use and feed next directly.
+func fusion(in, next *ir.Instr) vop {
+	if in.NumUses() != 1 {
+		return vInvalid
+	}
+	switch {
+	case in.Op == ir.OpGEP && next.Op == ir.OpLoad && next.Operand(0) == in:
+		return vGEPLoad
+	case in.Op == ir.OpGEP && next.Op == ir.OpStore && next.Operand(1) == in:
+		return vGEPStore
+	case (in.Op == ir.OpICmp || in.Op == ir.OpFCmp) && in.Ty == ir.I1 &&
+		next.Op == ir.OpCondBr && next.Operand(0) == in:
+		return vCmpBr
+	}
+	return vInvalid
 }
 
 // lowerPlain fills v for a single unfused instruction.
@@ -496,12 +561,6 @@ func (c *compiler) lowerSite(cluster []*ir.Instr) bool {
 		if _, ok := c.lowerInstr(nil, x, nil); !ok {
 			return false
 		}
-	}
-	// Cluster instructions are consecutive and all produce values, so
-	// their registers are consecutive too: the intermediates are every
-	// register from the head's up to the result's.
-	if lo := c.regOf[head]; len(cluster) > 1 && dst-lo == int32(len(cluster)-1) {
-		c.emit(vinstr{op: vSiteEnd, a: lo, b: dst, dst: -1})
 	}
 	c.code.code[pc].t0 = int32(len(c.code.code))
 	c.fused["site"]++
@@ -641,7 +700,6 @@ func (c *compiler) fuseGEP(v *vinstr, gep, mem *ir.Instr, op vop) bool {
 	v.group = []*ir.Instr{gep, mem}
 	if op == vGEPLoad {
 		v.ty = mem.Ty
-		v.nw = int32(mem.Ty.Lanes())
 		v.c = c.regOf[gep] // materialized only when a recorder watches
 		v.dst = c.regOf[mem]
 	} else {

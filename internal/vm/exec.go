@@ -7,12 +7,12 @@ import (
 	"vulfi/internal/ir"
 )
 
-// getOperand resolves an operand ref against the frame: registers for
-// non-negative refs, the constant pool for negative ones.
 // sx sign-extends an index payload by its precomputed shift (see
 // vinstr.idxSh); identical to ir.SignExtend at the operand's width.
 func sx(bits uint64, sh uint8) int64 { return int64(bits<<sh) >> sh }
 
+// getOperand resolves an operand ref against the frame: registers for
+// non-negative refs, the constant pool for negative ones.
 func getOperand(regs, consts []interp.Value, ref int32) interp.Value {
 	if ref >= 0 {
 		return regs[ref]
@@ -32,32 +32,26 @@ func getOperand(regs, consts []interp.Value, ref int32) interp.Value {
 // stamped with provenance through LocateTrap at the same instruction
 // the tree-walker would stamp.
 //
-// Values are immutable once published (the interp package's producers
-// all build fresh results; bit flips clone before flipping), so the
-// frame never clones constants or operands. When no recorder watches
-// the value stream, result lane storage comes from the
-// machine's frame arena — marked at entry, released at exit — and every
-// operation routes through the interp package's Into kernels, which
-// write all lanes of the recycled storage. The return value is cloned
-// out of the arena before release; everything else the frame produced
-// is dead at exit (memory stores copy bytes, externs consume arguments
-// eagerly).
+// Every register owns fixed lane words in its frame, carved from the
+// machine's stacks at entry and popped at exit, and every producer
+// writes its result into its destination's own words through the
+// interp package's Into kernels, which write all lanes. That is sound
+// because no two registers share mutable storage: phi edge moves, the
+// vSite fast path and call results copy words rather than share them,
+// and parameters share the caller's arguments, which nothing writes
+// while the callee runs. A callee reached through vCall returns a value
+// still in its popped frame, which the caller copies at once; any other
+// caller gets a clone. With a recorder attached — the only sink that
+// retains values — every published value is a fresh allocation instead,
+// and moves and call results share it.
 func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Value) (interp.Value, *interp.Trap, bool) {
+	owned := m.retOwned
+	m.retOwned = false
 	code := m.prog.fns[f]
 	if code == nil {
 		return interp.Value{}, nil, false
 	}
 
-	regs := m.getRegs(code.nregs)
-	defer m.putRegs(regs)
-	copy(regs, args)
-	for _, gs := range code.globals {
-		// Global addresses are per-instance (Reset reallocates), so they
-		// materialize at frame entry rather than living in the const pool.
-		regs[gs.reg] = interp.PtrValue(gs.ty, it.GlobalAddr(gs.g))
-	}
-
-	consts := code.consts
 	rec := it.Recorder()
 	prof := it.Profiler()
 	fprof, _ := prof.(interp.FusedProfiler)
@@ -65,32 +59,40 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 	// in bulk only when no recorder observes the per-instruction
 	// schedule and the profiler — if any — understands fused groups.
 	fastFused := rec == nil && (prof == nil || fprof != nil)
-	// useArena: the recorder is the only sink that may retain result
-	// values beyond the frame; without it, results live at most until
-	// the frame returns and the arena recycles their storage wholesale.
-	// watched is its complement, hoisted so the hot loop skips the
-	// finish call entirely when nobody retires instructions.
-	useArena := rec == nil
-	watched := !useArena
+	// watched: a recorder retires every instruction and may keep the
+	// values, so each result is published as a fresh allocation.
+	watched := rec != nil
 	// sites: the bound injection plan, which vSite asks to retire whole
 	// clusters; nil (no injection runtime) keeps every cluster on its
 	// per-instruction path.
 	sites := it.SitePlan()
-	ar := &m.arena
-	if useArena {
-		mk := ar.mark()
-		defer ar.release(mk)
-	}
-	// alloc returns result storage for one value: recycled arena words
-	// in arena mode (the Into kernels overwrite every lane), a fresh
-	// zeroed heap value otherwise.
-	alloc := func(ty *ir.Type, nw int32) interp.Value {
-		if useArena {
-			return interp.Value{Ty: ty, Bits: ar.alloc(int(nw))}
-		}
-		return interp.Zero(ty)
-	}
 
+	vsp, wsp := m.vsp, m.wsp
+	defer func() { m.vsp, m.wsp = vsp, wsp }()
+	regs, words := m.carve(code.nparams+len(code.slots), code.nwords)
+	copy(regs, args)
+	for i, s := range code.slots {
+		regs[code.nparams+i] = interp.Value{Ty: s.ty, Bits: words[s.off : s.off+s.n : s.off+s.n]}
+	}
+	for _, gs := range code.globals {
+		// Global addresses are per-instance (Reset reallocates), so they
+		// materialize at frame entry rather than living in the const pool.
+		if watched {
+			regs[gs.reg] = interp.PtrValue(gs.g.Type(), it.GlobalAddr(gs.g))
+		} else {
+			regs[gs.reg].Bits[0] = it.GlobalAddr(gs.g)
+		}
+	}
+	consts := code.consts
+
+	// out returns the storage v's result is computed into: its
+	// destination register's own words, or a fresh value when watched.
+	out := func(v *vinstr) interp.Value {
+		if watched {
+			return interp.Zero(v.ty)
+		}
+		return regs[v.dst]
+	}
 	// step accounts one non-phi instruction and runs the tree-walker's
 	// boundary budget check, returning a located trap when over budget.
 	step := func(in *ir.Instr, vec bool) *interp.Trap {
@@ -108,6 +110,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 		}
 		return nil
 	}
+	// publish makes a watched result visible in its register and emits
+	// its retirement event.
+	publish := func(v *vinstr, r interp.Value) {
+		regs[v.dst] = r
+		rec.Retire(v.in, it.DynInstrs, r)
+	}
 	// finish emits the retirement event of a non-terminator instruction.
 	finish := func(in *ir.Instr, val interp.Value) {
 		rec.Retire(in, it.DynInstrs, val)
@@ -116,10 +124,11 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 	// parallel copy for the taken edge).
 	runMoves := func(moves []move) {
 		for _, mv := range moves {
-			if mv.src >= 0 {
-				regs[mv.dst] = regs[mv.src]
+			src := getOperand(regs, consts, mv.src)
+			if watched {
+				regs[mv.dst] = src
 			} else {
-				regs[mv.dst] = consts[^mv.src]
+				copy(regs[mv.dst].Bits, src.Bits)
 			}
 		}
 	}
@@ -164,14 +173,13 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, it.LocateTrap(tr, v.in), true
 				}
 			}
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			if tr := interp.IntBinInto(r, v.irop,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b)); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -188,12 +196,11 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, it.LocateTrap(tr, v.in), true
 				}
 			}
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			interp.FloatBinInto(r, v.irop,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -210,12 +217,11 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, it.LocateTrap(tr, v.in), true
 				}
 			}
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			interp.CompareInto(r, v.irop, v.pred,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -232,12 +238,11 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, it.LocateTrap(tr, v.in), true
 				}
 			}
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			interp.SelectInto(r, getOperand(regs, consts, v.a),
 				getOperand(regs, consts, v.b), getOperand(regs, consts, v.c))
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -254,11 +259,10 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, it.LocateTrap(tr, v.in), true
 				}
 			}
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			interp.CastInto(r, v.irop, getOperand(regs, consts, v.a), v.ty)
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -279,11 +283,10 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			r := alloc(v.ty, 1)
+			r := out(v)
 			r.Bits[0] = addr
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -300,13 +303,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, it.LocateTrap(tr, v.in), true
 				}
 			}
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			if tr := it.Mem.LoadInto(r, getOperand(regs, consts, v.a).Uint()); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -348,11 +350,10 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			}
 			addr := getOperand(regs, consts, v.a).Uint() +
 				uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
-			r := alloc(v.ty, 1)
+			r := out(v)
 			r.Bits[0] = addr
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -376,11 +377,10 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					Msg: fmt.Sprintf("extractelement lane %d of %d", idx, len(vec.Bits))}
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			r := alloc(v.ty, 1)
+			r := out(v)
 			r.Bits[0] = vec.Bits[idx]
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -405,12 +405,11 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					Msg: fmt.Sprintf("insertelement lane %d of %d", idx, len(vec.Bits))}
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			copy(r.Bits, vec.Bits)
 			r.Bits[idx] = elem.Bits[0]
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -430,7 +429,7 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			a := getOperand(regs, consts, v.a)
 			b := getOperand(regs, consts, v.b)
 			n := a.Lanes()
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			for i, mi := range v.mask {
 				switch {
 				case mi < 0:
@@ -441,9 +440,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					r.Bits[i] = b.Bits[mi-n]
 				}
 			}
-			regs[v.dst] = r
 			if watched {
-				finish(v.in, r)
+				publish(v, r)
 			}
 			pc++
 
@@ -460,7 +458,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, it.LocateTrap(tr, v.in), true
 				}
 			}
-			argv := m.getArgs(len(v.args))
+			top := m.vsp
+			argv, _ := m.carve(len(v.args), 0)
 			for i, ref := range v.args {
 				// Shared, not cloned: callees never mutate argument
 				// payloads (injection clones before flipping, externs map
@@ -479,17 +478,30 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					r, tr = it.Call(v.callee, argv)
 				}
 			} else {
+				m.retOwned = true
 				r, tr = it.Call(v.callee, argv)
+				m.retOwned = false
 			}
-			m.putArgs(argv)
+			m.vsp = top
 			if tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in), true
 			}
-			if v.dst >= 0 {
-				regs[v.dst] = r
-			}
 			if watched {
+				if v.dst >= 0 {
+					regs[v.dst] = r
+				}
 				finish(v.in, r)
+			} else if v.dst >= 0 {
+				// Copy the result home: it may be an argument (injectFault
+				// passes an unflipped lane through) or still sit in the
+				// callee's popped frame. A result that does not fit the
+				// register's words becomes the register's own clone.
+				if d := &regs[v.dst]; len(d.Bits) == len(r.Bits) {
+					copy(d.Bits, r.Bits)
+					d.Ty = r.Ty
+				} else {
+					*d = r.Clone()
+				}
 			}
 			pc++
 
@@ -544,9 +556,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				}
 			}
 			r := getOperand(regs, consts, v.a)
-			if useArena && v.a >= 0 {
-				// The only value that outlives the frame: clone it off the
-				// arena before the deferred release recycles its storage.
+			if !watched && !owned && v.a >= 0 {
+				// The caller is not a vCall that copies the result out of
+				// the popped frame before its words are reused.
 				r = r.Clone()
 			}
 			return r, nil, true
@@ -601,11 +613,9 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				}
 				addr := getOperand(regs, consts, v.a).Uint() +
 					uint64(sx(getOperand(regs, consts, v.b).Bits[0], v.idxSh))*v.elem
-				r := alloc(v.ty, v.nw)
-				if tr := it.Mem.LoadInto(r, addr); tr != nil {
+				if tr := it.Mem.LoadInto(regs[v.dst], addr); tr != nil {
 					return interp.Value{}, it.LocateTrap(tr, v.in2), true
 				}
-				regs[v.dst] = r
 				pc++
 				break
 			}
@@ -632,12 +642,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			if tr := step(v.in2, v.vec2); tr != nil {
 				return interp.Value{}, tr, true
 			}
-			r := alloc(v.ty, v.nw)
+			r := out(v)
 			if tr := it.Mem.LoadInto(r, addr); tr != nil {
 				return interp.Value{}, it.LocateTrap(tr, v.in2), true
 			}
-			regs[v.dst] = r
 			if watched {
+				regs[v.dst] = r
 				finish(v.in2, r)
 			}
 			pc++
@@ -705,7 +715,7 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 				if fprof != nil {
 					fprof.AccountFused(v.group)
 				}
-				cond := alloc(v.ty, 1)
+				cond := regs[v.dst]
 				interp.CompareInto(cond, v.irop, v.pred,
 					getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
 				if cond.Bool() {
@@ -729,7 +739,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					return interp.Value{}, it.LocateTrap(tr, v.in), true
 				}
 			}
-			cond := interp.CompareOp(v.irop, v.pred,
+			cond := out(v)
+			interp.CompareInto(cond, v.irop, v.pred,
 				getOperand(regs, consts, v.a), getOperand(regs, consts, v.b))
 			if watched {
 				finish(v.in, cond)
@@ -751,8 +762,8 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 			// per-instruction sink, no budget boundary inside it (so
 			// budget traps and heartbeats land exactly), and a plan that
 			// agrees none of its live lanes is the injection target. The
-			// cluster's result is then its unchanged input: values are
-			// immutable, so publishing it allocates nothing.
+			// cluster's result is then its unchanged input, copied into
+			// the result register's own words.
 			n := uint64(len(v.group))
 			if sites != nil && fastFused && (it.DynInstrs&1023)+n < 1024 {
 				s := v.site
@@ -772,16 +783,12 @@ func (m *Machine) CallCompiled(it *interp.Interp, f *ir.Func, args []interp.Valu
 					if fprof != nil {
 						fprof.AccountFused(v.group)
 					}
-					regs[v.dst] = getOperand(regs, consts, v.a)
+					copy(regs[v.dst].Bits, getOperand(regs, consts, v.a).Bits)
 					pc = v.t0
 					break
 				}
 			}
 			// Fallback: the cluster's own bytecode, lane by lane.
-			pc++
-
-		case vSiteEnd:
-			clear(regs[v.a:v.b])
 			pc++
 
 		default:

@@ -5,7 +5,7 @@
 // digram patterns surfaced by the execution profiler (lane address
 // computation + load/store, scalar mask test + branch, and a whole
 // fault-site instrumentation cluster) — and executes that form as a
-// dense dispatch loop over recycled register frames.
+// dense dispatch loop over frames whose registers own their storage.
 //
 // The backend is attached to an interpreter through the interp.Engine
 // hook and executes against the interpreter's own observable state, so
@@ -24,10 +24,20 @@
 // from the mask and asks the plan bound through interp.SitePlan to
 // retire them in bulk. The plan agrees unless the injection target lies
 // among them or it keeps per-site visit counts; vSite then accounts the
-// whole cluster, publishes its unchanged input as the result and jumps
+// whole cluster, copies its unchanged input into the result and jumps
 // past it. Otherwise execution falls through into the cluster's own
 // bytecode and every lane calls the runtime, so LaneSiteID attribution,
 // dynamic site counting and bit flips stay byte-identical.
+//
+// Every register owns fixed lane words in its frame: the compiler lays
+// out each function's registers with their widths, a call carves the
+// frame's value headers and words off two machine-wide stacks that grow
+// to the deepest call chain and are reused from then on, and every
+// producer writes its result into its destination's own words. No two
+// registers share mutable storage — phi moves, the vSite fast path and
+// call results copy words — so without a recorder, execution allocates
+// nothing per instruction. A recorder retains the values it is handed,
+// so with one attached every result is a fresh allocation instead.
 //
 // The speedup comes from dispatch, not semantics: dense register frames
 // replace the tree-walker's per-frame value map, operands are fetched
@@ -92,15 +102,25 @@ func (p *Program) NumCompiled() int { return len(p.fns) }
 func (p *Program) Fused(pattern string) int { return p.fused[pattern] }
 
 // Machine executes one Program against one interpreter instance. It
-// implements interp.Engine and owns the register-frame recycling pools,
-// so a Machine must not be shared between concurrently running
-// interpreters — attach one Machine per instance (the Program behind it
-// is shared freely).
+// implements interp.Engine and owns the register stacks, so a Machine
+// must not be shared between concurrently running interpreters — attach
+// one Machine per instance (the Program behind it is shared freely).
 type Machine struct {
-	prog  *Program
-	regs  [][]interp.Value
-	argvs [][]interp.Value
-	arena bitsArena
+	prog *Program
+
+	// vals and words are the machine-wide register stacks. Each frame
+	// carves its value headers and its registers' lane words from the
+	// tops (see push); call arguments are carved from vals the same way.
+	// Both grow to the deepest call chain and are reused from then on.
+	vals     []interp.Value
+	words    []uint64
+	vsp, wsp int
+
+	// retOwned is set by vCall around a call to a defined function: the
+	// callee may then return a value that still lives in its popped
+	// frame, because the caller copies it into its destination before
+	// anything is pushed again. Any other caller gets a clone.
+	retOwned bool
 
 	// ext caches resolved extern implementations by the program's dense
 	// declaration index, valid for one interpreter registration epoch.
@@ -133,54 +153,6 @@ func (m *Machine) externFor(it *interp.Interp, ix int32, f *ir.Func) interp.Exte
 	return fn
 }
 
-// arenaChunk is the bump-allocator chunk size in lane words (64 KiB).
-const arenaChunk = 8192
-
-// bitsArena bump-allocates lane-word storage for register-resident
-// result values. A frame marks the arena on entry and releases to that
-// mark on exit: every value the frame produced is dead by then (the
-// return value is cloned out first, memory stores copy bytes, and the
-// recorder — the only sink that retains values — disables arena mode
-// entirely), so the storage is recycled instead of feeding the garbage
-// collector one allocation per executed instruction. Within a frame, a
-// chunk stays reachable while any register still points into it (see
-// vSiteEnd).
-type bitsArena struct {
-	cur []uint64
-	off int
-}
-
-// arenaMark is a rewind point: the chunk and offset at frame entry.
-type arenaMark struct {
-	cur []uint64
-	off int
-}
-
-func (a *bitsArena) alloc(n int) []uint64 {
-	if a.off+n > len(a.cur) {
-		sz := arenaChunk
-		if n > sz {
-			sz = n
-		}
-		a.cur, a.off = make([]uint64, sz), 0
-	}
-	s := a.cur[a.off : a.off+n : a.off+n]
-	a.off += n
-	return s
-}
-
-func (a *bitsArena) mark() arenaMark { return arenaMark{a.cur, a.off} }
-
-// release rewinds to mk. A nil mark chunk (the machine's very first
-// frame) keeps the current chunk and just resets the offset.
-func (a *bitsArena) release(mk arenaMark) {
-	if mk.cur != nil {
-		a.cur, a.off = mk.cur, mk.off
-	} else {
-		a.off = 0
-	}
-}
-
 // NewMachine returns a Machine executing prog.
 func NewMachine(prog *Program) *Machine { return &Machine{prog: prog} }
 
@@ -188,40 +160,21 @@ func NewMachine(prog *Program) *Machine { return &Machine{prog: prog} }
 // campaign layer: it attaches a fresh Machine over prog to it.
 func Attach(it *interp.Interp, prog *Program) { it.SetEngine(NewMachine(prog)) }
 
-func (m *Machine) getRegs(n int) []interp.Value {
-	if k := len(m.regs); k > 0 {
-		buf := m.regs[k-1]
-		m.regs[k-1] = nil
-		m.regs = m.regs[:k-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
+// carve takes nv value headers and nw lane words off the stack tops.
+// A stack that is too small is replaced by a larger one (at least
+// double, so a deepening recursion regrows only logarithmically often);
+// frames already running keep the old one through their own slices,
+// which stay valid, so nothing is copied.
+func (m *Machine) carve(nv, nw int) ([]interp.Value, []uint64) {
+	if m.vsp+nv > len(m.vals) {
+		m.vals = make([]interp.Value, max(m.vsp+nv, 2*len(m.vals)))
 	}
-	return make([]interp.Value, n)
-}
-
-func (m *Machine) putRegs(buf []interp.Value) {
-	for i := range buf {
-		buf[i] = interp.Value{}
+	if m.wsp+nw > len(m.words) {
+		m.words = make([]uint64, max(m.wsp+nw, 2*len(m.words)))
 	}
-	m.regs = append(m.regs, buf[:0])
-}
-
-func (m *Machine) getArgs(n int) []interp.Value {
-	if k := len(m.argvs); k > 0 {
-		buf := m.argvs[k-1]
-		m.argvs[k-1] = nil
-		m.argvs = m.argvs[:k-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return make([]interp.Value, n)
-}
-
-func (m *Machine) putArgs(buf []interp.Value) {
-	for i := range buf {
-		buf[i] = interp.Value{}
-	}
-	m.argvs = append(m.argvs, buf[:0])
+	vals := m.vals[m.vsp : m.vsp+nv : m.vsp+nv]
+	words := m.words[m.wsp : m.wsp+nw : m.wsp+nw]
+	m.vsp += nv
+	m.wsp += nw
+	return vals, words
 }
